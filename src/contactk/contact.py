@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, ResourceLimitError
 from .linalg import Echelon, rref
+from .parallel import chunk_ranges, merge_checks, mix_seed
 from .superspace import Element, Monomial, Space, partial
 from .witt import d_k, d_k_monomial, index_conjugate, witt_apply
 
@@ -721,17 +722,12 @@ def antisymmetry_exhaustive(alg: StructureConstantAlgebra, workers: int = 1) -> 
     bracket of monomials, which makes this an independent check of the
     stored table rather than a tautology.
     """
-    from .parallel import chunk_ranges, parallel_map
+    from .parallel import parallel_map  # late-bound: tracers may wrap it
 
     alg.ordered_table()  # materialize before forking
-    results = parallel_map(alg, _antisym_chunk, chunk_ranges(alg.dim, 16), workers)
-    out = {"checked": 0, "failures": 0, "witness": None}
-    for r in results:
-        out["checked"] += r["checked"]
-        out["failures"] += r["failures"]
-        if out["witness"] is None:
-            out["witness"] = r["witness"]
-    return out
+    return merge_checks(
+        parallel_map(alg, _antisym_chunk, chunk_ranges(alg.dim, 16), workers)
+    )
 
 
 def jacobi_triple_defect(alg: StructureConstantAlgebra, a: int, b: int, c: int):
@@ -789,17 +785,10 @@ def _jacobi_triples(alg, triples) -> dict:
 _JACOBI_CHUNK = 50_000
 
 
-def _jacobi_seed_mix(seed: int, chunk: int) -> int:
-    out = 0x9E3779B97F4A7C15
-    for v in (seed, 7, chunk):
-        out = (out * 0x100000001B3 + (v & 0xFFFFFFFFFFFF) + 0x2545F4914F6CDD1D) % 2**63
-    return out
-
-
 def _jacobi_chunk_task(ctx, payload) -> dict:
     alg, seed = ctx
     chunk_no, count = payload
-    rng = random.Random(_jacobi_seed_mix(seed, chunk_no))
+    rng = random.Random(mix_seed(seed, 7, chunk_no))
     n = alg.dim
     triples = [
         (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(count)
@@ -838,13 +827,9 @@ def jacobi_check(
             payloads.append((chunk_no, take))
             left -= take
             chunk_no += 1
-        parts = parallel_map((alg, seed), _jacobi_chunk_task, payloads, workers)
-        res = {"checked": 0, "failures": 0, "witness": None}
-        for r in parts:
-            res["checked"] += r["checked"]
-            res["failures"] += r["failures"]
-            if res["witness"] is None:
-                res["witness"] = r["witness"]
+        res = merge_checks(
+            parallel_map((alg, seed), _jacobi_chunk_task, payloads, workers)
+        )
     verdict = "pass" if not res["failures"] and not anti["failures"] else "fail"
     return {
         "antisymmetry": anti,

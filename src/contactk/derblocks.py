@@ -3,10 +3,11 @@
 Route, per z2-degree gamma:
 
 1. Solve the superderivation space per (weight offset, degree offset)
-   block.  Inner derivations ad(e_x) give each block a certified floor
-   (they are independent because the center is zero); a block whose
-   kernel reaches that floor is solved exactly, a larger kernel is kept
-   as a sound over-approximation.
+   block, with equation rows from derlab.law_rows.  Inner derivations
+   ad(e_x) give each block a certified floor (they are independent
+   because the center is zero); a block whose kernel reaches that floor
+   is solved exactly, a larger kernel is kept as a sound
+   over-approximation.
 
 2. Express candidate rows phi(e_i, .) in the computed derivation basis
    (this imposes the second-slot identity on every triple at once), and
@@ -25,22 +26,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .contact import StructureConstantAlgebra
+from .derlab import (
+    BiderResult,
+    BilinearTable,
+    BlockReport,
+    Key,
+    derivation_signs,
+    law_rows,
+    project_inner,
+    raw_derivation_map,
+    slot_rows,
+)
 from .errors import ParameterError
 from .linalg import Echelon
-
-Key = Tuple[Tuple[int, ...], int]
-
-
-def _mix_seed(*parts: int) -> int:
-    out = 0x9E3779B97F4A7C15
-    for v in parts:
-        out = (out * 0x100000001B3 + (v & 0xFFFFFFFFFFFF) + 0x2545F4914F6CDD1D) % 2**63
-    return out
+from .parallel import mix_seed
 
 
 def _key_ints(key: Key) -> List[int]:
@@ -94,6 +98,20 @@ class DerBlockReport:
     equations: int
 
 
+def fill_batch(target: int, draw: Callable[[], list]) -> list:
+    """Rows from repeated draw() calls until target rows are pending.
+
+    Gives up after 50 * target draws, so a block whose random draws yield
+    no equation ends its random pass instead of spinning.
+    """
+    pending: list = []
+    for _ in range(50 * target):
+        if len(pending) >= target:
+            break
+        pending.extend(draw())
+    return pending
+
+
 def derivation_blocks(
     alg: StructureConstantAlgebra,
     gp: int,
@@ -103,16 +121,12 @@ def derivation_blocks(
     stable_batches: int = 3,
 ):
     """Sound per-block superderivation bases (exact when floors are hit)."""
-    from .derlab import fan_indexes
-
     n = alg.dim
     p = alg.p
     par = alg.parity
     wt = alg.weight
     deg = alg.degree
     classes = alg.classes()
-    left, right = fan_indexes(alg)
-    flat = alg.ordered_table()
 
     blocks: Dict[Key, List[Tuple[int, int]]] = {}
     for l in range(n):
@@ -131,11 +145,11 @@ def derivation_blocks(
     for key in sorted(blocks, key=lambda kv: (kv[1], kv[0])):
         unknowns = sorted(blocks[key])
         U = len(unknowns)
-        col = {u: c for c, u in enumerate(unknowns)}
+        D = raw_derivation_map({u: c for c, u in enumerate(unknowns)})
         mu, dd = key
         floor = len(classes.get((mu, dd, gp & 1), ()))
         ech = Echelon(U, p)
-        rng = random.Random(_mix_seed(seed, 11, gp, *_key_ints(key)))
+        rng = random.Random(mix_seed(seed, 11, gp, *_key_ints(key)))
         stable = 0
         batches = 0
         equations = 0
@@ -143,7 +157,6 @@ def derivation_blocks(
 
         def rows_for_pair(b, c):
             nonlocal equations
-            out = []
             kcls = classes.get(
                 (
                     alg.wt_add(alg.wt_add(wt[b], wt[c]), mu),
@@ -153,37 +166,10 @@ def derivation_blocks(
                 None,
             )
             if kcls is None:
-                return out
-            ent_bc = flat[b * n + c]
-            sgn = -1 if gp and par[b] else 1
-            for k in kcls.tolist():
-                row: Dict[int, int] = {}
-                for l, v in ent_bc:
-                    cc = col.get((l, k))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) + v) % p
-                for u, w in right.get((c, k), ()):
-                    cc = col.get((b, u))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) - w) % p
-                for v_, w in left.get((b, k), ()):
-                    cc = col.get((c, v_))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) - sgn * w) % p
-                row = {cc: v for cc, v in row.items() if v}
-                if row:
-                    out.append(row)
-                    equations += 1
-            return out
-
-        def flush(rows):
-            if not rows:
-                return
-            dense = np.zeros((len(rows), U), dtype=np.int64)
-            for r, row in enumerate(rows):
-                for cc, v in row.items():
-                    dense[r, cc] = v
-            ech.add_rows(dense)
+                return []
+            rows = law_rows(alg, b, c, kcls.tolist(), D, *derivation_signs(gp, par[b]))
+            equations += len(rows)
+            return rows
 
         if floor > U:
             raise ParameterError("derivation floor exceeds block size")
@@ -197,7 +183,7 @@ def derivation_blocks(
                     pending.extend(rows_for_pair(b, c))
                     pending.extend(rows_for_pair(c, b))
                     if len(pending) >= flush_at:
-                        flush(pending)
+                        ech.add_row_dicts(pending)
                         pending = []
                         if ech.kernel_dim <= floor:
                             done = True
@@ -205,21 +191,15 @@ def derivation_blocks(
                 if done:
                     break
             if not done:
-                flush(pending)
+                ech.add_row_dicts(pending)
             # random passes until the floor or stability
             batch_target = max(128, U // 2)
             while ech.kernel_dim > floor and batches < max_batches and stable < stable_batches:
                 batches += 1
                 before = ech.kernel_dim
-                pending = []
-                while len(pending) < batch_target:
-                    b = rng.randrange(n)
-                    c = rng.randrange(n)
-                    got = rows_for_pair(b, c)
-                    if not got:
-                        continue
-                    pending.extend(got)
-                flush(pending)
+                ech.add_row_dicts(fill_batch(
+                    batch_target, lambda: rows_for_pair(rng.randrange(n), rng.randrange(n))
+                ))
                 stable = stable + 1 if ech.kernel_dim == before else 0
         if ech.kernel_dim < floor:
             raise ParameterError(
@@ -259,12 +239,7 @@ def derivation_blocks(
 # ---------------------------------------------------------------------------
 
 
-_CTX: Optional[dict] = None
-
-
 def _build_context(alg, opts):
-    from .derlab import fan_indexes
-
     anchors = anchor_indices(alg)
     ders: List[DerVector] = []
     der_reports = {}
@@ -282,15 +257,11 @@ def _build_context(alg, opts):
         for l, ent in dv.rows.items():
             for k, v in ent:
                 der_fan.setdefault((l, k), []).append((dv.idx, v))
-    left, right = fan_indexes(alg)
     return {
         "alg": alg,
-        "opts": opts,
         "anchors": anchors,
         "ders": ders,
         "der_fan": der_fan,
-        "left": left,
-        "right": right,
         "der_reports": der_reports,
     }
 
@@ -315,8 +286,6 @@ def _x_unknown_blocks(ctx, g: int) -> Dict[Key, List[Tuple[int, int]]]:
 
 def _reconstruct_table(ctx, g, unknowns, vec):
     """Ordered reconstruction + skew fold; returns (table, consistent)."""
-    from .derlab import BilinearTable
-
     alg = ctx["alg"]
     ders = ctx["ders"]
     p = alg.p
@@ -360,12 +329,23 @@ def _reconstruct_table(ctx, g, unknowns, vec):
     return table, consistent
 
 
-def _solve_x_block(ctx, g: int, key: Key, unknowns) -> tuple:
-    """Solve one biderivation block; returns (report_dict, tables)."""
-    from .derlab import project_inner
+def _scaffold_pair_map(der_fan, col):
+    """phi(i, j, k) over scaffold unknowns col[(i, t)], phi(e_i, .) =
+    sum_t x_{i,t} D_t: the (column, coefficient) pairs making up the
+    coefficient of e_k in phi(e_i, e_j)."""
 
+    def phi(i: int, j: int, k: int):
+        return [
+            (cc, w) for t, w in der_fan.get((j, k), ())
+            if (cc := col.get((i, t))) is not None
+        ]
+
+    return phi
+
+
+def _solve_x_block(ctx, opts, g: int, key: Key, unknowns) -> tuple:
+    """Solve one biderivation block; returns (report_dict, tables)."""
     alg = ctx["alg"]
-    opts = ctx["opts"]
     p = alg.p
     n = alg.dim
     par = alg.parity
@@ -373,39 +353,35 @@ def _solve_x_block(ctx, g: int, key: Key, unknowns) -> tuple:
     deg = alg.degree
     classes = alg.classes()
     der_fan = ctx["der_fan"]
-    left, right = ctx["left"], ctx["right"]
-    flat = alg.ordered_table()
-    ders = ctx["ders"]
     anchors = ctx["anchors"]
     mu, dd = key
     U = len(unknowns)
     col = {u: c for c, u in enumerate(unknowns)}
+    phi = _scaffold_pair_map(der_fan, col)
     rows_of = sorted({i for i, _ in unknowns})
     zero_key = ((0,) * alg.wlen, 0)
     # the bracket is weight/degree-additive, so it lives entirely in the
     # zero-offset even block; it spans a line there iff it is nonzero
     floor = 1 if (g == 0 and key == zero_key and alg.table) else 0
-    rng = random.Random(_mix_seed(opts.seed, 23, g, *_key_ints(key)))
+    rng = random.Random(mix_seed(opts.seed, 23, g, *_key_ints(key)))
     ech = Echelon(U, p)
     equations = 0
 
-    def kclass(i, j):
-        return classes.get(
-            (
-                alg.wt_add(alg.wt_add(wt[i], wt[j]), mu),
-                deg[i] + deg[j] + dd,
-                (par[i] + par[j] + g) & 1,
-            )
-        )
+    def targets(*idx):
+        """Block targets k of phi applied to basis indices idx."""
+        w, d, pp = mu, dd, g
+        for i in idx:
+            w = alg.wt_add(wt[i], w)
+            d += deg[i]
+            pp += par[i]
+        kcls = classes.get((w, d, pp & 1))
+        return () if kcls is None else kcls.tolist()
 
     def skew_rows(i, j):
         nonlocal equations
         out = []
-        kcls = kclass(i, j)
-        if kcls is None:
-            return out
         s = -1 if par[i] and par[j] else 1
-        for k in kcls.tolist():
+        for k in targets(i, j):
             row: Dict[int, int] = {}
             if i == j:
                 if par[i]:
@@ -429,89 +405,11 @@ def _solve_x_block(ctx, g: int, key: Key, unknowns) -> tuple:
                 equations += 1
         return out
 
-    def second_rows(a, b, c):
+    def identity_rows(slot, a, b, c):
         nonlocal equations
-        out = []
-        kcls = classes.get(
-            (
-                alg.wt_add(alg.wt_add(alg.wt_add(wt[a], wt[b]), wt[c]), mu),
-                deg[a] + deg[b] + deg[c] + dd,
-                (par[a] + par[b] + par[c] + g) & 1,
-            )
-        )
-        if kcls is None:
-            return out
-        ent_bc = flat[b * n + c]
-        sgn = -1 if ((g + par[a]) & 1) and par[b] else 1
-        for k in kcls.tolist():
-            row: Dict[int, int] = {}
-            for l, v in ent_bc:
-                for t, w in der_fan.get((l, k), ()):
-                    cc = col.get((a, t))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) + v * w) % p
-            for kp, w in right.get((c, k), ()):
-                for t, w2 in der_fan.get((b, kp), ()):
-                    cc = col.get((a, t))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) - w * w2) % p
-            for kpp, w in left.get((b, k), ()):
-                for t, w2 in der_fan.get((c, kpp), ()):
-                    cc = col.get((a, t))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) - sgn * w * w2) % p
-            row = {cc: v for cc, v in row.items() if v}
-            if row:
-                out.append(row)
-                equations += 1
-        return out
-
-    def first_rows(a, b, c):
-        nonlocal equations
-        out = []
-        kcls = classes.get(
-            (
-                alg.wt_add(alg.wt_add(alg.wt_add(wt[a], wt[b]), wt[c]), mu),
-                deg[a] + deg[b] + deg[c] + dd,
-                (par[a] + par[b] + par[c] + g) & 1,
-            )
-        )
-        if kcls is None:
-            return out
-        ent_ab = flat[a * n + b]
-        s2 = -1 if g and par[a] else 1
-        s3 = -1 if par[b] and par[c] else 1
-        for k in kcls.tolist():
-            row: Dict[int, int] = {}
-            for l, v in ent_ab:
-                for t, w in der_fan.get((c, k), ()):
-                    cc = col.get((l, t))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) + v * w) % p
-            for v_, w in left.get((a, k), ()):
-                for t, w2 in der_fan.get((c, v_), ()):
-                    cc = col.get((b, t))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) - s2 * w * w2) % p
-            for kp, w in right.get((b, k), ()):
-                for t, w2 in der_fan.get((c, kp), ()):
-                    cc = col.get((a, t))
-                    if cc is not None:
-                        row[cc] = (row.get(cc, 0) - s3 * w * w2) % p
-            row = {cc: v for cc, v in row.items() if v}
-            if row:
-                out.append(row)
-                equations += 1
-        return out
-
-    def flush(rows):
-        if not rows:
-            return
-        dense = np.zeros((len(rows), U), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for cc, v in row.items():
-                dense[r, cc] = v
-        ech.add_rows(dense)
+        rows = slot_rows(alg, g, phi, slot, a, b, c, targets(a, b, c))
+        equations += len(rows)
+        return rows
 
     def finished():
         return ech.kernel_dim <= floor
@@ -525,42 +423,41 @@ def _solve_x_block(ctx, g: int, key: Key, unknowns) -> tuple:
             pending.extend(skew_rows(i, j))
         pending.extend(skew_rows(i, i))
         if len(pending) >= flush_at:
-            flush(pending)
+            ech.add_row_dicts(pending)
             pending = []
             if finished():
                 break
-    flush(pending)
+    ech.add_row_dicts(pending)
 
-    # randomized escalation: skew, then explicit identity instances
-    stages = ("skew", "second", "first")
+    # randomized escalation, one stage per stall: skew rows (stage 0),
+    # then second-slot identity instances (1), then first-slot ones (2)
     stage = 0
     batches = 0
     stable = 0
     batch_target = max(96, U // 2)
+
+    def draw():
+        out = []
+        if stage == 0:
+            i = rows_of[rng.randrange(len(rows_of))]
+            out.extend(skew_rows(i, rng.randrange(n)))
+        elif stage == 1:
+            a = rows_of[rng.randrange(len(rows_of))]
+            out.extend(identity_rows(2, a, rng.randrange(n), rng.randrange(n)))
+            i = rows_of[rng.randrange(len(rows_of))]
+            out.extend(skew_rows(i, rng.randrange(n)))
+        else:
+            out.extend(
+                identity_rows(1, rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            )
+            a = rows_of[rng.randrange(len(rows_of))]
+            out.extend(identity_rows(2, a, rng.randrange(n), rng.randrange(n)))
+        return out
+
     while not finished() and batches < opts.max_batches:
         batches += 1
         before = ech.kernel_dim
-        pending = []
-        guard = 0
-        while len(pending) < batch_target and guard < 50 * batch_target:
-            guard += 1
-            which = stages[min(stage, 2)]
-            if which == "skew":
-                i = rows_of[rng.randrange(len(rows_of))]
-                j = rng.randrange(n)
-                pending.extend(skew_rows(i, j))
-            elif which == "second":
-                a = rows_of[rng.randrange(len(rows_of))]
-                pending.extend(second_rows(a, rng.randrange(n), rng.randrange(n)))
-                i = rows_of[rng.randrange(len(rows_of))]
-                pending.extend(skew_rows(i, rng.randrange(n)))
-            else:
-                pending.extend(
-                    first_rows(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                )
-                a = rows_of[rng.randrange(len(rows_of))]
-                pending.extend(second_rows(a, rng.randrange(n), rng.randrange(n)))
-        flush(pending)
+        ech.add_row_dicts(fill_batch(batch_target, draw))
         if ech.kernel_dim == before:
             stable += 1
             if stable >= opts.stable_batches:
@@ -600,25 +497,24 @@ def _solve_x_block(ctx, g: int, key: Key, unknowns) -> tuple:
     return report, tables
 
 
-def _block_task(args):
-    g, key = args
-    ctx = _CTX
-    unknowns = ctx["xblocks"][g][key]
-    return key, _solve_x_block(ctx, g, key, unknowns)
+def _block_task(shared, key):
+    ctx, opts, g, xblocks = shared
+    return _solve_x_block(ctx, opts, g, key, xblocks[key])
 
 
-def biderivation_blocked_scaffold(alg, opts) -> "BiderResult":
+def biderivation_blocked_scaffold(alg, opts) -> BiderResult:
     """Blocked biderivation space of one z2-degree via the scaffold."""
-    from .derlab import BiderResult, BlockReport
+    from .parallel import parallel_map
 
-    global _CTX
     g = opts.z2_degree & 1
-    ctx = getattr(alg, "_scaffold_ctx", None)
-    if ctx is None or ctx["opts"].seed != opts.seed:
-        ctx = _build_context(alg, opts)
-        alg._scaffold_ctx = ctx
+    # the scaffold depends on the seed and on the batch limits, nothing else
+    cache_key = (opts.seed, opts.max_batches, opts.stable_batches)
+    cached = getattr(alg, "_scaffold_ctx", None)
+    if cached is None or cached[0] != cache_key:
+        cached = (cache_key, _build_context(alg, opts))
+        alg._scaffold_ctx = cached
+    ctx = cached[1]
     xblocks = _x_unknown_blocks(ctx, g)
-    ctx["xblocks"] = {g: xblocks}
     over_cap = {
         key: v for key, v in xblocks.items() if len(v) > opts.unknown_cap
     }
@@ -626,19 +522,10 @@ def biderivation_blocked_scaffold(alg, opts) -> "BiderResult":
         (key for key in xblocks if key not in over_cap),
         key=lambda kv: (kv[1], kv[0]),
     )
-    _CTX = ctx
-    tasks = [(g, key) for key in keys]
-    if opts.workers > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(opts.workers) as pool:
-            results = dict(pool.map(_block_task, tasks, chunksize=8))
-    else:
-        results = dict(_block_task(t) for t in tasks)
+    results = parallel_map((ctx, opts, g, xblocks), _block_task, keys, opts.workers)
 
     res = BiderResult(z2_degree=g)
-    for key in keys:
-        report, tables = results[key]
+    for key, (report, tables) in zip(keys, results):
         # above-floor tables are kept too: they are the sound
         # over-approximation showing what remained unresolved
         res.tables.extend(tables)

@@ -1,21 +1,30 @@
 """Superderivations and skew-symmetric super-biderivations of a
 structure-constant superalgebra, by exact kernel computation over F_p.
 
-Two solving routes:
+Every solver imposes one law, the super-derivation law
 
-* full mode: raw unknowns c_{ij}^k (i <= j, parity-consistent, with
-  skew-symmetry built into the storage), the second-slot derivation
-  identity imposed on every ordered basis triple, and the first-slot
-  identity verified on the returned kernel (imposed too if it fails).
+    D([x, y]) = s_left [D x, y] + s_right [x, D y],
 
-* blocked mode: the defining equations never couple unknowns with
-  different (weight offset, degree offset), so the solution space is a
-  direct sum over those offsets.  Small algebras solve each block
-  exhaustively.  Large algebras use a derivation scaffold: rows
-  phi(e_i, .) are expressed in a computed basis of superderivations
-  (the second-slot identity exactly), then skew-symmetry and, when
-  needed, further identity instances are accumulated per block until
-  the kernel reaches a certified floor.
+through one row generator, law_rows().  A superderivation of parity g is
+the law with signs (1, (-1)^{g p_x}).  A skew-symmetric bilinear map phi
+is a biderivation when both of its slots obey it: D = phi(a, .) is a
+superderivation of parity g + p_a (second slot), and E = phi(., c)
+satisfies it on [a, b] with signs ((-1)^{p_b p_c}, (-1)^{g p_a}) (first
+slot).  The unknowns differ per solver and enter only through D:
+
+* raw derivation unknowns (l, k), the coefficient of e_k in D(e_l);
+* raw pair unknowns c_{ij}^k (i <= j, parity-consistent, skew-symmetry
+  built into the storage), solved exhaustively: the second-slot identity
+  on every ordered basis triple, the first-slot identity checked on the
+  returned kernel (imposed too if the check fails).  Blocked mode splits
+  the unknowns by (weight offset, degree offset), since the equations
+  never couple different offsets; full mode is the same solve with one
+  block;
+* for large algebras, a derivation scaffold (see derblocks): rows
+  phi(e_i, .) expressed in a computed basis of superderivations.
+
+law_defect() evaluates the same law on known maps; the identity checkers
+use it as the oracle that solver output is compared against.
 
 Every equation ever imposed is satisfied by every true biderivation, so
 a computed kernel always CONTAINS the true solution space of its block.
@@ -30,22 +39,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .contact import StructureConstantAlgebra
 from .errors import ParameterError, ResourceLimitError
 from .linalg import Echelon, rref
+from .parallel import mix_seed
 
 Key = Tuple[Tuple[int, ...], int]  # (weight offset, degree offset)
-
-
-def _mix_seed(*parts: int) -> int:
-    out = 0x9E3779B97F4A7C15
-    for v in parts:
-        out = (out * 0x100000001B3 + (v & 0xFFFFFFFFFFFF) + 0x2545F4914F6CDD1D) % 2**63
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +203,155 @@ def project_inner(alg: StructureConstantAlgebra, phi: BilinearTable):
 
 
 # ---------------------------------------------------------------------------
-# identity defects (exact evaluation on a table)
+# the derivation law: one row generator, one evaluator
 # ---------------------------------------------------------------------------
 
 
-def _bracket_dict_basis(alg, d: Dict[int, int], j: int, left: bool) -> Dict[int, int]:
-    """[sum d, e_j] if left else [e_j, sum d]."""
+def derivation_signs(d: int, px: int) -> Tuple[int, int]:
+    """(s_left, s_right) for a superderivation of parity d on [x, .]."""
+    return 1, (-1 if d & 1 and px else 1)
+
+
+def first_slot_signs(g: int, pa: int, pb: int, pc: int) -> Tuple[int, int]:
+    """(s_left, s_right) for E = phi(., c) on [a, b], phi of z2-degree g:
+    (-1)^{p_b p_c} on [E a, b] and (-1)^{g p_a} on [a, E b]."""
+    return (-1 if pb and pc else 1), (-1 if g and pa else 1)
+
+
+def law_rows(
+    alg: StructureConstantAlgebra,
+    x: int,
+    y: int,
+    ks: Iterable[int],
+    D: Callable[[int, int], Iterable[Tuple[int, int]]],
+    s_left: int,
+    s_right: int,
+) -> List[Dict[int, int]]:
+    """Equation rows of D([x,y]) - s_left [D x, y] - s_right [x, D y] = 0.
+
+    D(l, k) yields the (column, coefficient) pairs that make up the
+    coefficient of e_k in D(e_l).  One row {column: residue} per target
+    k in ks, in ks order; rows that vanish are dropped.
+    """
+    left, right = fan_indexes(alg)
+    p = alg.p
+    ent = alg.ordered_table()[x * alg.dim + y]
+    out = []
+    for k in ks:
+        row: Dict[int, int] = {}
+        for l, v in ent:
+            for cc, w in D(l, k):
+                row[cc] = row.get(cc, 0) + v * w
+        for u, w in right.get((y, k), ()):
+            for cc, w2 in D(x, u):
+                row[cc] = row.get(cc, 0) - s_left * w * w2
+        for u, w in left.get((x, k), ()):
+            for cc, w2 in D(y, u):
+                row[cc] = row.get(cc, 0) - s_right * w * w2
+        row = {cc: r for cc, v in row.items() if (r := v % p)}
+        if row:
+            out.append(row)
+    return out
+
+
+def law_defect(
+    alg: StructureConstantAlgebra,
+    x: int,
+    y: int,
+    D: Callable[[int], Dict[int, int]],
+    s_left: int,
+    s_right: int,
+) -> Dict[int, int]:
+    """D([x,y]) - s_left [D x, y] - s_right [x, D y] for a known map D,
+    given as D(l) = {k: coefficient of e_k in D(e_l)}; {} when the law holds.
+
+    Kept apart from law_rows on purpose: it is the oracle that solver
+    output is checked against.
+    """
     flat = alg.ordered_table()
     n = alg.dim
     acc: Dict[int, int] = {}
-    for l, v in d.items():
-        ent = flat[l * n + j] if left else flat[j * n + l]
-        for k, w in ent:
+    for l, v in flat[x * n + y]:
+        for k, w in D(l).items():
             acc[k] = acc.get(k, 0) + v * w
-    return {k: v % alg.p for k, v in acc.items() if v % alg.p}
+    for u, w in D(x).items():
+        for k, w2 in flat[u * n + y]:
+            acc[k] = acc.get(k, 0) - s_left * w * w2
+    for u, w in D(y).items():
+        for k, w2 in flat[x * n + u]:
+            acc[k] = acc.get(k, 0) - s_right * w * w2
+    p = alg.p
+    return {k: r for k, v in acc.items() if (r := v % p)}
+
+
+def raw_derivation_map(col: Dict[Tuple[int, int], int]):
+    """D over raw derivation unknowns: col[(l, k)] is the coefficient of
+    e_k in D(e_l)."""
+    get = col.get
+
+    def D(l: int, k: int):
+        cc = get((l, k))
+        return () if cc is None else ((cc, 1),)
+
+    return D
+
+
+def raw_pair_map(alg, col: Dict[Tuple[int, int, int], int]):
+    """phi(i, j, k) over skew-stored pair unknowns col[(i, j, k)], i <= j:
+    the (column, sign) pairs making up the coefficient of e_k in
+    phi(e_i, e_j), for either order of i and j."""
+    par = alg.parity
+
+    def phi(i: int, j: int, k: int):
+        sign = 1
+        if i > j:
+            i, j = j, i
+            if not (par[i] and par[j]):
+                sign = -1
+        elif i == j and not par[i]:
+            return ()  # skew forces even diagonals to zero
+        cc = col.get((i, j, k))
+        return () if cc is None else ((cc, sign),)
+
+    return phi
+
+
+def slot_rows(alg, g: int, phi, slot: int, a: int, b: int, c: int, ks) -> List[Dict[int, int]]:
+    """Rows of the second-slot (slot=2) or first-slot (slot=1) biderivation
+    identity at (a, b, c), targets ks, for unknowns given by phi(i, j, k)."""
+    par = alg.parity
+    if slot == 2:
+        return law_rows(
+            alg, b, c, ks, lambda l, k: phi(a, l, k),
+            *derivation_signs(g + par[a], par[b]),
+        )
+    return law_rows(
+        alg, a, b, ks, lambda l, k: phi(l, c, k),
+        *first_slot_signs(g, par[a], par[b], par[c]),
+    )
+
+
+def second_slot_defect(phi: BilinearTable, a: int, b: int, c: int) -> Dict[int, int]:
+    """phi(a,[b,c]) - [phi(a,b),c] - (-1)^{(g+p_a)p_b} [b, phi(a,c)]."""
+    par = phi.alg.parity
+    return law_defect(
+        phi.alg, b, c, lambda l: phi.value(a, l),
+        *derivation_signs(phi.z2 + par[a], par[b]),
+    )
+
+
+def first_slot_defect(phi: BilinearTable, a: int, b: int, c: int) -> Dict[int, int]:
+    """phi([a,b],c) - (-1)^{g p_a}[a, phi(b,c)] - (-1)^{p_b p_c}[phi(a,c), b]."""
+    par = phi.alg.parity
+    return law_defect(
+        phi.alg, a, b, lambda l: phi.value(l, c),
+        *first_slot_signs(phi.z2, par[a], par[b], par[c]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# derived identities (exact evaluation on a table)
+# ---------------------------------------------------------------------------
 
 
 def _bracket_dict_dict(alg, a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
@@ -233,33 +371,6 @@ def _dict_combine(p, *parts) -> Dict[int, int]:
         for k, v in d.items():
             acc[k] = acc.get(k, 0) + sign * v
     return {k: v % p for k, v in acc.items() if v % p}
-
-
-def second_slot_defect(phi: BilinearTable, a: int, b: int, c: int) -> Dict[int, int]:
-    """phi(a,[b,c]) - [phi(a,b),c] - (-1)^{(g+p_a)p_b} [b, phi(a,c)]."""
-    alg = phi.alg
-    t1: Dict[int, int] = {}
-    for l, v in alg.bracket_indices(b, c):
-        for k, w in phi.value(a, l).items():
-            t1[k] = t1.get(k, 0) + v * w
-    t2 = _bracket_dict_basis(alg, phi.value(a, b), c, left=True)
-    t3 = _bracket_dict_basis(alg, phi.value(a, c), b, left=False)
-    s3 = -1 if ((phi.z2 + alg.parity[a]) & 1) and alg.parity[b] else 1
-    return _dict_combine(alg.p, (1, t1), (-1, t2), (-s3, t3))
-
-
-def first_slot_defect(phi: BilinearTable, a: int, b: int, c: int) -> Dict[int, int]:
-    """phi([a,b],c) - (-1)^{g p_a}[a, phi(b,c)] - (-1)^{p_b p_c}[phi(a,c), b]."""
-    alg = phi.alg
-    t1: Dict[int, int] = {}
-    for l, v in alg.bracket_indices(a, b):
-        for k, w in phi.value(l, c).items():
-            t1[k] = t1.get(k, 0) + v * w
-    t2 = _bracket_dict_basis(alg, phi.value(b, c), a, left=False)
-    s2 = -1 if phi.z2 and alg.parity[a] else 1
-    t3 = _bracket_dict_basis(alg, phi.value(a, c), b, left=True)
-    s3 = -1 if alg.parity[b] and alg.parity[c] else 1
-    return _dict_combine(alg.p, (1, t1), (-s2, t2), (-s3, t3))
 
 
 def quadruple_defect(phi: BilinearTable, x: int, y: int, u: int, v: int) -> Dict[int, int]:
@@ -290,7 +401,7 @@ def check_biderivation(
     n = alg.dim
     if strategy == "auto":
         strategy = "exhaustive" if n <= exhaustive_limit else "sampled"
-    rng = random.Random(_mix_seed(seed, n, phi.z2))
+    rng = random.Random(mix_seed(seed, n, phi.z2))
     report = {"strategy": strategy, "seed": seed, "checks": {}, "verdict": "pass"}
 
     def record(name, checked, failures, witness):
@@ -424,42 +535,20 @@ def superderivation_space(
         raise ResourceLimitError(
             f"{len(unknowns)} derivation unknowns exceed cap {unknown_cap}"
         )
-    col = {u: c for c, u in enumerate(unknowns)}
-    left, right = fan_indexes(alg)
+    D = raw_derivation_map({u: c for c, u in enumerate(unknowns)})
+    targets = {q: [k for k in range(n) if par[k] == q] for q in (0, 1)}
     ech = Echelon(len(unknowns), alg.p)
-    rows = []
+    rows: List[Dict[int, int]] = []
     for b in range(n):
         for c in range(n):
-            ent_bc = alg.bracket_indices(b, c)
-            sgn = -1 if g and par[b] else 1
-            for k in range(n):
-                row = np.zeros(len(unknowns), dtype=np.int64)
-                hit = False
-                for l, v in ent_bc:
-                    cc = col.get((l, k))
-                    if cc is not None:
-                        row[cc] += v
-                        hit = True
-                for u, w in right.get((c, k), ()):
-                    cc = col.get((b, u))
-                    if cc is not None:
-                        row[cc] -= w
-                        hit = True
-                for v_, w in left.get((b, k), ()):
-                    cc = col.get((c, v_))
-                    if cc is not None:
-                        row[cc] -= sgn * w
-                        hit = True
-                if hit:
-                    rows.append(row % alg.p)
+            ks = targets[(par[b] + par[c] + g) & 1]
+            rows.extend(law_rows(alg, b, c, ks, D, *derivation_signs(g, par[b])))
             if len(rows) >= 4096:
-                ech.add_rows(np.array(rows))
+                ech.add_row_dicts(rows)
                 rows = []
-    if rows:
-        ech.add_rows(np.array(rows))
-    kernel = ech.kernel_basis()
+    ech.add_row_dicts(rows)
     out = []
-    for vec in kernel:
+    for vec in ech.kernel_basis():
         mat = np.zeros((n, n), dtype=np.int64)
         for cc, u in enumerate(unknowns):
             if vec[cc]:
@@ -470,20 +559,13 @@ def superderivation_space(
 
 
 def _assert_derivation(alg, mat: np.ndarray, g: int):
-    n = alg.dim
-    p = alg.p
+    images = [
+        {int(k): int(mat[l, k]) for k in np.flatnonzero(mat[l])} for l in range(alg.dim)
+    ]
     par = alg.parity
-    for b in range(n):
-        sgn = -1 if g and par[b] else 1
-        for c in range(n):
-            lhs = np.zeros(n, dtype=np.int64)
-            for l, v in alg.bracket_indices(b, c):
-                lhs += v * mat[l]
-            rhs = _bracket_dict_basis(alg, {u: int(mat[b, u]) for u in np.flatnonzero(mat[b])}, c, left=True)
-            rhs2 = _bracket_dict_basis(alg, {v_: int(mat[c, v_]) for v_ in np.flatnonzero(mat[c])}, b, left=False)
-            acc = {k: v % p for k, v in enumerate(lhs) if v % p}
-            d = _dict_combine(p, (1, acc), (-1, rhs), (-sgn, rhs2))
-            if d:
+    for b in range(alg.dim):
+        for c in range(alg.dim):
+            if law_defect(alg, b, c, images.__getitem__, *derivation_signs(g, par[b])):
                 raise ParameterError(f"returned kernel vector fails the law at ({b},{c})")
 
 
@@ -546,76 +628,6 @@ def _pair_unknowns(alg, g: int):
     return out
 
 
-def _coeff_hook(col, par, p):
-    """Returns add(row, i, j, k, val) resolving skew storage for any order."""
-
-    def add(row: dict, i: int, j: int, k: int, val: int):
-        if i > j:
-            i, j = j, i
-            if not (par[i] and par[j]):
-                val = -val
-        elif i == j and not par[i]:
-            return
-        cc = col.get((i, j, k))
-        if cc is not None:
-            row[cc] = (row.get(cc, 0) + val) % p
-
-    return add
-
-
-def _second_slot_rows(alg, g: int, col, triples, keyed=None):
-    """Equation rows of the second-slot identity for given (a,b,c) triples.
-
-    Yields (key, row_dict); key is None unless keyed is a block-key fn.
-    """
-    n = alg.dim
-    par = alg.parity
-    p = alg.p
-    left, right = fan_indexes(alg)
-    add = _coeff_hook(col, par, p)
-    for a, b, c in triples:
-        ent_bc = alg.bracket_indices(b, c)
-        sgn = -1 if ((g + par[a]) & 1) and par[b] else 1
-        want = (par[a] + par[b] + par[c] + g) & 1
-        for k in range(n):
-            if par[k] != want:
-                continue
-            row: dict = {}
-            for l, v in ent_bc:
-                add(row, a, l, k, v)
-            for kp, w in right.get((c, k), ()):
-                add(row, a, b, kp, -w)
-            for kpp, w in left.get((b, k), ()):
-                add(row, a, c, kpp, -sgn * w)
-            if row:
-                yield (keyed(a, b, c, k) if keyed else None), row
-
-
-def _first_slot_rows(alg, g: int, col, triples, keyed=None):
-    n = alg.dim
-    par = alg.parity
-    p = alg.p
-    left, right = fan_indexes(alg)
-    add = _coeff_hook(col, par, p)
-    for a, b, c in triples:
-        ent_ab = alg.bracket_indices(a, b)
-        s2 = -1 if g and par[a] else 1
-        s3 = -1 if par[b] and par[c] else 1
-        want = (par[a] + par[b] + par[c] + g) & 1
-        for k in range(n):
-            if par[k] != want:
-                continue
-            row: dict = {}
-            for l, v in ent_ab:
-                add(row, l, c, k, v)
-            for v_, w in left.get((a, k), ()):
-                add(row, b, c, v_, -s2 * w)
-            for kp, w in right.get((b, k), ()):
-                add(row, a, c, kp, -s3 * w)
-            if row:
-                yield (keyed(a, b, c, k) if keyed else None), row
-
-
 def _tables_from_kernel(alg, g, unknowns, kernel, block_key=None):
     out = []
     for vec in kernel:
@@ -627,166 +639,105 @@ def _tables_from_kernel(alg, g, unknowns, kernel, block_key=None):
     return out
 
 
-def biderivation_full(alg, opts: SolveOptions) -> BiderResult:
-    """Exact full-system solve on the raw unknowns."""
+def biderivation_exhaustive(alg, opts: SolveOptions) -> BiderResult:
+    """Exact solve on the raw unknowns with every identity instance.
+
+    Blocked mode splits unknowns and equations by (weight offset, degree
+    offset); full mode is the single block ((), 0).  The first-slot
+    identity is post-checked on the kernel and imposed too when it fails
+    (always with impose="both").
+    """
     g = opts.z2_degree & 1
+    n = alg.dim
+    par, wt, deg = alg.parity, alg.weight, alg.degree
+    blocked = opts.mode == "blocked"
     unknowns = _pair_unknowns(alg, g)
-    if len(unknowns) > opts.unknown_cap:
+    if not blocked and len(unknowns) > opts.unknown_cap:
         raise ResourceLimitError(
             f"{len(unknowns)} biderivation unknowns exceed cap {opts.unknown_cap}"
         )
-    col = {u: c for c, u in enumerate(unknowns)}
-    n = alg.dim
 
-    def solve(impose_both: bool):
-        ech = Echelon(len(unknowns), alg.p)
-        triples = itertools.product(range(n), repeat=3)
-        batch = []
-        gens = [_second_slot_rows(alg, g, col, triples)]
-        if impose_both:
-            gens.append(
-                _first_slot_rows(alg, g, col, itertools.product(range(n), repeat=3))
-            )
-        for gen in gens:
-            for _, row in gen:
-                dense = np.zeros(len(unknowns), dtype=np.int64)
-                for cc, v in row.items():
-                    dense[cc] = v
-                batch.append(dense)
-                if len(batch) >= 4096:
-                    ech.add_rows(np.array(batch))
-                    batch = []
-        if batch:
-            ech.add_rows(np.array(batch))
-        return ech.kernel_basis()
+    def offset(k: int, idx: Sequence[int]) -> Key:
+        if not blocked:
+            return ((), 0)
+        w = wt[k]
+        for i in idx:
+            w = alg.wt_sub(w, wt[i])
+        return (w, deg[k] - sum(deg[i] for i in idx))
 
-    kernel = solve(impose_both=(opts.impose == "both"))
-    tables = _tables_from_kernel(alg, g, unknowns, kernel)
-    note = ""
-    if opts.impose != "both":
-        bad = any(
-            any(
-                first_slot_defect(t, a, b, c)
-                for a, b, c in itertools.product(range(n), repeat=3)
-            )
-            for t in tables
-        )
-        if bad:
-            kernel = solve(impose_both=True)
-            tables = _tables_from_kernel(alg, g, unknowns, kernel)
-            note = "first-slot identity imposed after post-check failure"
-    res = BiderResult(z2_degree=g, tables=tables, status="exact", note=note)
-    res.blocks = [
-        BlockReport(key=((), 0), unknowns=len(unknowns), dim=len(tables), status="exact")
-    ]
-    return res
+    block_cols: Dict[Key, List[int]] = {}
+    for cc, (i, j, k) in enumerate(unknowns):
+        block_cols.setdefault(offset(k, (i, j)), []).append(cc)
+    phi = raw_pair_map(alg, {u: c for c, u in enumerate(unknowns)})
 
-
-def _block_key_fn(alg, g):
-    def keyed(a, b, c, k):
-        mu = alg.wt_sub(
-            alg.weight[k], alg.wt_add(alg.weight[a], alg.wt_add(alg.weight[b], alg.weight[c]))
-        )
-        d = alg.degree[k] - alg.degree[a] - alg.degree[b] - alg.degree[c]
-        return (mu, d)
-
-    return keyed
-
-
-def biderivation_blocked_small(alg, opts: SolveOptions) -> BiderResult:
-    """Blocked solve with exhaustive per-block equations (raw unknowns)."""
-    g = opts.z2_degree & 1
-    unknowns = _pair_unknowns(alg, g)
-    col = {u: c for c, u in enumerate(unknowns)}
-    ukey = {}
-    for (i, j, k) in unknowns:
-        mu = alg.wt_sub(alg.weight[k], alg.wt_add(alg.weight[i], alg.weight[j]))
-        d = alg.degree[k] - alg.degree[i] - alg.degree[j]
-        ukey.setdefault((mu, d), []).append((i, j, k))
-
-    # route every equation instance to its block
-    n = alg.dim
-    rows_by_key: Dict[Key, list] = {key: [] for key in ukey}
-    keyed = _block_key_fn(alg, g)
-    gens = [_second_slot_rows(alg, g, col, itertools.product(range(n), repeat=3), keyed)]
-    if opts.impose == "both":
-        gens.append(
-            _first_slot_rows(alg, g, col, itertools.product(range(n), repeat=3), keyed)
-        )
-    for gen in gens:
-        for key, row in gen:
-            if key in rows_by_key:
-                rows_by_key[key].append(row)
-            # rows whose key has no unknowns are identically zero on the
-            # unknown set; _coeff_hook only emits in-block coefficients
-
-    res = BiderResult(z2_degree=g)
-    for key in sorted(ukey, key=lambda kv: (kv[1], kv[0])):
-        subunknowns = ukey[key]
-        subcol = {u: c for c, u in enumerate(subunknowns)}
-        if len(subunknowns) > opts.unknown_cap:
-            res.blocks.append(
-                BlockReport(key=key, unknowns=len(subunknowns), dim=-1, status="unsolved")
-            )
-            res.status = "inconclusive"
-            continue
-        ech = Echelon(len(subunknowns), alg.p)
-        batch = []
-        count = 0
-        for row in rows_by_key[key]:
-            dense = np.zeros(len(subunknowns), dtype=np.int64)
-            for cc, v in row.items():
-                u = unknowns[cc]
-                sc = subcol.get(u)
-                if sc is None:
-                    # cross-block coefficient would contradict equivariance
-                    raise ParameterError("equation crosses block boundary")
-                dense[sc] = v
-            if dense.any():
-                batch.append(dense)
-                count += 1
-            if len(batch) >= 2048:
-                ech.add_rows(np.array(batch))
+    def solve(impose_both: bool) -> BiderResult:
+        # route every equation instance to its block
+        rows: Dict[Key, List[Dict[int, int]]] = {key: [] for key in block_cols}
+        for slot in (2, 1) if impose_both else (2,):
+            for a, b, c in itertools.product(range(n), repeat=3):
+                want = (par[a] + par[b] + par[c] + g) & 1
+                targets: Dict[Key, List[int]] = {}
+                for k in range(n):
+                    if par[k] == want:
+                        targets.setdefault(offset(k, (a, b, c)), []).append(k)
+                for key, ks in targets.items():
+                    # rows of a key without unknowns vanish identically
+                    if key in rows:
+                        rows[key].extend(slot_rows(alg, g, phi, slot, a, b, c, ks))
+        res = BiderResult(z2_degree=g)
+        for key in sorted(block_cols, key=lambda kv: (kv[1], kv[0])):
+            cols = block_cols[key]
+            if len(cols) > opts.unknown_cap:
+                res.blocks.append(
+                    BlockReport(key=key, unknowns=len(cols), dim=-1, status="unsolved")
+                )
+                res.status = "inconclusive"
+                continue
+            local = {cc: i for i, cc in enumerate(cols)}
+            ech = Echelon(len(cols), alg.p)
+            block_rows = rows[key]
+            for lo in range(0, len(block_rows), 2048):
                 batch = []
-        if batch:
-            ech.add_rows(np.array(batch))
-        kernel = ech.kernel_basis()
-        tables = _tables_from_kernel(alg, g, subunknowns, kernel, block_key=key)
-        res.tables.extend(tables)
-        res.blocks.append(
-            BlockReport(
-                key=key,
-                unknowns=len(subunknowns),
-                dim=len(tables),
-                status="exact",
-                equations=count,
+                for row in block_rows[lo : lo + 2048]:
+                    if not row.keys() <= local.keys():
+                        # a cross-block coefficient would contradict equivariance
+                        raise ParameterError("equation crosses block boundary")
+                    batch.append({local[cc]: v for cc, v in row.items()})
+                ech.add_row_dicts(batch)
+            subunknowns = [unknowns[cc] for cc in cols]
+            tables = _tables_from_kernel(
+                alg, g, subunknowns, ech.kernel_basis(), block_key=key if blocked else None
             )
-        )
+            res.tables.extend(tables)
+            res.blocks.append(
+                BlockReport(
+                    key=key,
+                    unknowns=len(cols),
+                    dim=len(tables),
+                    status="exact",
+                    equations=len(block_rows),
+                )
+            )
+        return res
 
-    if opts.impose != "both":
-        bad = any(
-            any(
-                first_slot_defect(t, a, b, c)
-                for a, b, c in itertools.product(range(n), repeat=3)
-            )
-            for t in res.tables
-        )
-        if bad:
-            opts2 = SolveOptions(**{**opts.__dict__, "impose": "both"})
-            res = biderivation_blocked_small(alg, opts2)
-            res.note = "first-slot identity imposed after post-check failure"
+    res = solve(impose_both=opts.impose == "both")
+    if opts.impose != "both" and any(
+        first_slot_defect(t, a, b, c)
+        for t in res.tables
+        for a, b, c in itertools.product(range(n), repeat=3)
+    ):
+        res = solve(impose_both=True)
+        res.note = "first-slot identity imposed after post-check failure"
     return res
 
 
 def biderivation_space(alg, opts: Optional[SolveOptions] = None) -> BiderResult:
     """Skew-symmetric super-biderivation space of one z2-degree."""
     opts = opts or SolveOptions()
-    if opts.mode == "full":
-        return biderivation_full(alg, opts)
-    if opts.mode != "blocked":
+    if opts.mode not in ("full", "blocked"):
         raise ParameterError(f"unknown mode {opts.mode!r}")
-    if alg.dim <= opts.scaffold_threshold:
-        return biderivation_blocked_small(alg, opts)
+    if opts.mode == "full" or alg.dim <= opts.scaffold_threshold:
+        return biderivation_exhaustive(alg, opts)
     from .derblocks import biderivation_blocked_scaffold
 
     return biderivation_blocked_scaffold(alg, opts)

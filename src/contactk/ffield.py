@@ -133,18 +133,6 @@ def binom_mod_p(fp: Fp, alpha, beta) -> int:
     return fp.multi_binom(alpha, beta)
 
 
-def add_multi(alpha, beta):
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
-def sub_multi(alpha, beta):
-    return tuple(a - b for a, b in zip(alpha, beta))
-
-
-def weight_multi(alpha) -> int:
-    return sum(alpha)
-
-
 def unit_multi(m: int, i: int):
     """The multi-index with 1 in (1-based) coordinate i and 0 elsewhere."""
     if not 1 <= i <= m:

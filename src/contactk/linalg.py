@@ -1,24 +1,22 @@
-"""Exact sparse/dense linear algebra over F_p.
+"""Exact dense elimination and kernels over F_p.
 
 Everything is integer arithmetic on canonical residues; no floating
 point enters any result.  (One fast path multiplies residue matrices
 inside float64 BLAS, which is exact as long as an inner product cannot
 reach 2**53; the guard is explicit.)
 
-Dense row reduction is the workhorse: every solver block in this
-project has well under 2,000 columns.  Wider systems fall back to a
-Markowitz-pivoting sparse elimination.
+Every solver block in this project has well under 2,000 columns, so
+dense row reduction serves them all: a one-shot rref(), and Echelon,
+which absorbs equation batches incrementally.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError
-
-DENSE_COLS = 2000
 
 
 def _as_residues(a, p: int) -> np.ndarray:
@@ -73,152 +71,6 @@ def kernel_from_rref(red: np.ndarray, pivots: Sequence[int], cols: int, p: int) 
 
 def rank(a, p: int) -> int:
     return len(rref(a, p)[1])
-
-
-class SparseMatrixFp:
-    """Exact sparse matrix over F_p given by (row, col, value) entries."""
-
-    def __init__(self, rows: int, cols: int, entries=None, p: int = 5):
-        self.rows = rows
-        self.cols = cols
-        self.p = p
-        seen = {}
-        for r, c, v in entries or []:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise DimensionError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v %= p
-            key = (r, c)
-            if key in seen:
-                raise DimensionError(f"duplicate entry at {key}")
-            if v:
-                seen[key] = v
-        self.entries = [(r, c, v) for (r, c), v in sorted(seen.items())]
-
-    @classmethod
-    def from_dense(cls, a, p: int) -> "SparseMatrixFp":
-        arr = _as_residues(a, p)
-        rows, cols = arr.shape
-        rr, cc = np.nonzero(arr)
-        ent = [(int(r), int(c), int(arr[r, c])) for r, c in zip(rr, cc)]
-        return cls(rows, cols, ent, p)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for r, c, v in self.entries:
-            out[r, c] = v
-        return out
-
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def matvec(self, vec) -> np.ndarray:
-        v = _as_residues(vec, self.p)
-        if v.shape[0] != self.cols:
-            raise DimensionError("matvec length mismatch")
-        out = np.zeros(self.rows, dtype=np.int64)
-        for r, c, val in self.entries:
-            out[r] += val * v[c]
-        return out % self.p
-
-    def rank(self) -> int:
-        if self.cols <= DENSE_COLS:
-            return rank(self.to_dense(), self.p)
-        red = self._sparse_eliminate()
-        return len(red)
-
-    def kernel_basis(self) -> np.ndarray:
-        """Canonical basis of {x : Ax = 0}, one kernel vector per row."""
-        if self.cols <= DENSE_COLS:
-            red, piv = rref(self.to_dense(), self.p)
-            return kernel_from_rref(red, piv, self.cols, self.p)
-        red = self._sparse_eliminate()
-        dense = np.zeros((len(red), self.cols), dtype=np.int64)
-        for i, row in enumerate(red):
-            for c, v in row.items():
-                dense[i, c] = v
-        red2, piv = rref(dense, self.p)
-        return kernel_from_rref(red2, piv, self.cols, self.p)
-
-    def solve(self, b) -> Optional[np.ndarray]:
-        """A particular solution of Ax = b in echelon-canonical form, or None."""
-        rhs = _as_residues(b, self.p)
-        if rhs.shape[0] != self.rows:
-            raise DimensionError("rhs length mismatch")
-        if self.cols > DENSE_COLS:
-            aug_entries = list(self.entries) + [
-                (r, self.cols, int(v)) for r, v in enumerate(rhs) if v % self.p
-            ]
-            aug = SparseMatrixFp(self.rows, self.cols + 1, aug_entries, self.p)
-            red = aug._sparse_eliminate()
-            dense = np.zeros((len(red), self.cols + 1), dtype=np.int64)
-            for i, row in enumerate(red):
-                for c, v in row.items():
-                    dense[i, c] = v
-            red2, piv = rref(dense, self.p)
-        else:
-            aug = np.concatenate([self.to_dense(), rhs[:, None]], axis=1)
-            red2, piv = rref(aug, self.p)
-        if self.cols in piv:
-            return None
-        x = np.zeros(self.cols, dtype=np.int64)
-        for j, c in enumerate(piv):
-            x[c] = red2[j, self.cols]
-        return x
-
-    def _sparse_eliminate(self) -> List[dict]:
-        """Markowitz-pivot sparse Gaussian elimination; returns pivot rows."""
-        p = self.p
-        rows: List[dict] = [dict() for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        col_count: dict = {}
-        for row in rows:
-            for c in row:
-                col_count[c] = col_count.get(c, 0) + 1
-        active = [i for i, row in enumerate(rows) if row]
-        done: List[dict] = []
-        used_cols = set()
-        while active:
-            best = None
-            for ri in active:
-                row = rows[ri]
-                rn = len(row)
-                for c, v in row.items():
-                    score = (rn - 1) * (col_count.get(c, 1) - 1)
-                    key = (score, c, ri)
-                    if best is None or key < best[0]:
-                        best = (key, ri, c)
-            _, ri, pc = best
-            prow = rows[ri]
-            inv = pow(prow[pc], p - 2, p)
-            if inv != 1:
-                prow = {c: v * inv % p for c, v in prow.items()}
-                rows[ri] = prow
-            nxt = []
-            for rj in active:
-                if rj == ri:
-                    continue
-                row = rows[rj]
-                f = row.get(pc)
-                if f:
-                    for c, v in prow.items():
-                        nv = (row.get(c, 0) - f * v) % p
-                        had = c in row
-                        if nv:
-                            if not had:
-                                col_count[c] = col_count.get(c, 0) + 1
-                            row[c] = nv
-                        elif had:
-                            del row[c]
-                            col_count[c] -= 1
-                if row:
-                    nxt.append(rj)
-            for c in prow:
-                col_count[c] = col_count.get(c, 1) - 1
-            done.append(prow)
-            used_cols.add(pc)
-            active = nxt
-        return done
 
 
 class Echelon:
@@ -280,6 +132,16 @@ class Echelon:
         self.mat = merged[order]
         self.pivots = [pivs[i] for i in order]
         return len(new_piv)
+
+    def add_row_dicts(self, rows: Sequence[Dict[int, int]]) -> int:
+        """add_rows() for sparse rows given as {column: residue} dicts."""
+        if not rows:
+            return 0
+        dense = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for cc, v in row.items():
+                dense[r, cc] = v
+        return self.add_rows(dense)
 
     def kernel_basis(self) -> np.ndarray:
         return kernel_from_rref(self.mat, self.pivots, self.ncols, self.p)

@@ -224,14 +224,6 @@ class Element:
             return parities.pop()
         return None
 
-    def parity_parts(self):
-        """Split into (even, odd) parts."""
-        even = Element(self.space)
-        odd = Element(self.space)
-        for mono, c in self.terms.items():
-            (odd if mono.umask.bit_count() & 1 else even).terms[mono] = c
-        return even, odd
-
 
 def elem_mul(a: Element, b: Element) -> Element:
     return a * b

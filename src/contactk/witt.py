@@ -91,18 +91,9 @@ class WittElement:
             self.space, {k: v * c % self.space.p for k, v in self.terms.items()}
         )
 
-    def canonical_terms(self):
-        """Terms sorted by (direction, monomial) for deterministic output."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-
 
 def term_parity(space: Space, mono: Monomial, r: int) -> int:
     return (mono.umask.bit_count() + (1 if r > space.m else 0)) & 1
-
-
-def term_w_degree(space: Space, mono: Monomial, r: int) -> int:
-    """Principal grading: every direction counts -1."""
-    return sum(mono.alpha) + mono.umask.bit_count() - 1
 
 
 def term_k_degree(space: Space, mono: Monomial, r: int) -> int:
@@ -268,19 +259,14 @@ def homomorphism_check(space: Space, use_display_reading: bool = False,
                        workers: int = 1, chunk: int = 16) -> dict:
     """Exhaustively verify that the contact map turns the contact bracket
     into the vector-field bracket, over all unordered basis pairs."""
-    from .parallel import chunk_ranges, parallel_map
+    from .parallel import chunk_ranges, merge_checks, parallel_map
 
     basis = list(space.basis())
     dk_list = [d_k_monomial(space, mono, use_display_reading) for mono in basis]
     ctx = (space, basis, dk_list, use_display_reading)
-    results = parallel_map(ctx, _hom_chunk, chunk_ranges(len(basis), chunk), workers)
-    out = {"checked": 0, "failures": 0, "witness": None}
-    for r in results:
-        out["checked"] += r["checked"]
-        out["failures"] += r["failures"]
-        if out["witness"] is None:
-            out["witness"] = r["witness"]
-    return out
+    return merge_checks(
+        parallel_map(ctx, _hom_chunk, chunk_ranges(len(basis), chunk), workers)
+    )
 
 
 def _single_term_bracket(space, fa, i, fb, j, c):
@@ -345,7 +331,7 @@ def _witt_jacobi_chunk(ctx, bounds):
 def witt_jacobi_sweep(space: Space, cap: int = 3, workers: int = 1) -> dict:
     """Super-antisymmetry and super-Jacobi, exhaustive over all basis
     triples of vector-field terms with |alpha| + |u| <= cap."""
-    from .parallel import chunk_ranges, parallel_map
+    from .parallel import chunk_ranges, merge_checks, parallel_map
 
     basis = [
         (mono, r)
@@ -375,19 +361,7 @@ def witt_jacobi_sweep(space: Space, cap: int = 3, workers: int = 1) -> dict:
                 anti_failures += 1
     ctx = (space, basis, pair_table)
     results = parallel_map(ctx, _witt_jacobi_chunk, chunk_ranges(nb, 8), workers)
-    out = {
-        "basis": nb,
-        "antisymmetry_failures": anti_failures,
-        "checked": 0,
-        "failures": 0,
-        "witness": None,
-    }
-    for r in results:
-        out["checked"] += r["checked"]
-        out["failures"] += r["failures"]
-        if out["witness"] is None:
-            out["witness"] = r["witness"]
-    return out
+    return {"basis": nb, "antisymmetry_failures": anti_failures, **merge_checks(results)}
 
 
 def d_k_matrix_rank(space: Space) -> Tuple[int, int]:

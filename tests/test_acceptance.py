@@ -8,6 +8,7 @@ report.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,8 @@ from contactk.witt import d_k_matrix_rank, homomorphism_check
 
 SEED = 0
 PARAMS = ("--m", "3", "--n", "2", "--t", "1,1,1", "--p", "5", "--seed", str(SEED))
+COMMANDS = ("check-jacobi", "weights", "verify-theorem", "selftest")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _announce(num, name, ok, detail=""):
@@ -46,7 +49,7 @@ def cli_reports(tmp_path_factory):
     base = tmp_path_factory.mktemp("reports")
     out = {}
     for workers in (1, 2):
-        for command in ("check-jacobi", "weights", "verify-theorem", "selftest"):
+        for command in COMMANDS:
             path = base / f"{command}-w{workers}.json"
             t0 = time.time()
             code = run(
@@ -197,8 +200,19 @@ def test_criterion_7_lemma_waypoints(cli_reports):
 def test_criterion_8_determinism_across_workers(cli_reports):
     mismatched = [
         command
-        for command in ("check-jacobi", "weights", "verify-theorem", "selftest")
+        for command in COMMANDS
         if cli_reports[(command, 1)][1] != cli_reports[(command, 2)][1]
     ]
     ok = not mismatched
     _announce(8, "determinism across workers", ok, f"mismatched: {mismatched}")
+
+
+def test_default_reports_match_golden(cli_reports):
+    # tests/golden/ holds the four default reports as committed; a change
+    # that alters any field of them must update these files deliberately
+    changed = [
+        (command, workers)
+        for (command, workers), (_, payload) in sorted(cli_reports.items())
+        if payload != (GOLDEN / f"{command}.json").read_bytes()
+    ]
+    assert not changed, f"reports differ from tests/golden/: {changed}"

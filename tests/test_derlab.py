@@ -1,22 +1,30 @@
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from contactk.contact import StructureConstantAlgebra, jacobi_check
+from contactk.derblocks import anchor_indices, derivation_blocks
 from contactk.derlab import (
     BilinearTable,
     SolveOptions,
     biderivation_space,
     check_biderivation,
+    derivation_signs,
     first_slot_defect,
+    first_slot_signs,
     inner_biderivation,
+    law_defect,
+    law_rows,
     make_abelian,
     make_heisenberg,
     make_sl2,
     make_super_heisenberg,
     oracle_corpus,
     project_inner,
+    raw_derivation_map,
     second_slot_defect,
     spans_equal,
     superderivation_space,
@@ -163,3 +171,92 @@ def test_verify_theorem_abelian_negative_control():
     rep = verify_theorem(make_abelian())
     assert rep["verdict"] == "not inner-only"
     assert rep["dim_bder_even"] == 2
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body runs past the deadline."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _random_map(alg, rng, parity):
+    """A random linear map of the given parity: D(l) = {k: coefficient}."""
+    return [
+        {k: c for k in range(alg.dim)
+         if alg.parity[k] == (alg.parity[l] + parity) & 1 and (c := rng.randrange(alg.p))}
+        for l in range(alg.dim)
+    ]
+
+
+def test_law_rows_evaluate_like_law_defect():
+    # law_rows builds the law as equations in the entries of D, law_defect
+    # evaluates it on a known D: a row dotted with D's entries must equal
+    # the defect at its target, for every sign pair the solvers use
+    rng = random.Random(3)
+    for alg in oracle_corpus():
+        n, par = alg.dim, alg.parity
+        cols = {(l, k): l * n + k for l in range(n) for k in range(n)}
+        raw = raw_derivation_map(cols)
+        for d in (0, 1):
+            images = _random_map(alg, rng, d)
+            vec = {cols[(l, k)]: c for l in range(n) for k, c in images[l].items()}
+            for x, y in itertools.product(range(n), repeat=2):
+                for signs in (derivation_signs(d, par[x]), first_slot_signs(d, par[x], par[y], 1)):
+                    defect = law_defect(alg, x, y, images.__getitem__, *signs)
+                    for k in range(n):
+                        rows = law_rows(alg, x, y, [k], raw, *signs)
+                        got = sum(c * vec.get(cc, 0) for row in rows for cc, c in row.items())
+                        assert got % alg.p == defect.get(k, 0), (alg.name, d, x, y, k)
+
+
+def test_scaffold_path_matches_full_mode_on_small_algebras():
+    # force the large-algebra scaffold onto the corpus: spans must equal
+    # full mode; algebras with a center cannot reach their floors
+    expect = {
+        ("sl2", 0): "exact", ("sl2", 1): "exact",
+        ("superheis(2|1)", 0): "inconclusive", ("superheis(2|1)", 1): "inconclusive",
+        ("heisenberg3", 0): "inconclusive", ("heisenberg3", 1): "exact",
+    }
+    for mk in (make_sl2, make_super_heisenberg, make_heisenberg):
+        for g in (0, 1):
+            alg = mk()
+            full = biderivation_space(alg, SolveOptions(mode="full", z2_degree=g))
+            scaffold = biderivation_space(
+                alg, SolveOptions(mode="blocked", z2_degree=g, scaffold_threshold=0)
+            )
+            assert scaffold.status == expect[(alg.name, g)], (alg.name, g)
+            assert spans_equal(alg, g, full.tables, scaffold.tables), (alg.name, g)
+
+
+def test_scaffold_ends_when_no_pair_yields_an_equation():
+    # the zero bracket gives the derivation law no equation at all: the
+    # random pass must give up, and the verdict must not be "verified"
+    alg = make_abelian()
+    with _deadline(60):
+        vecs, reports = derivation_blocks(alg, 0, 0, anchor_indices(alg))
+        assert reports and all(r.status == "above_floor" and r.equations == 0 for r in reports)
+        res = biderivation_space(alg, SolveOptions(mode="blocked", scaffold_threshold=0))
+        assert res.status == "inconclusive"
+        rep = verify_theorem(make_abelian(), SolveOptions(scaffold_threshold=0))
+        assert rep["verdict"] != "verified"
+
+
+def test_scaffold_cache_follows_the_batch_limits():
+    opts = dict(mode="blocked", scaffold_threshold=0)
+    alg = make_super_heisenberg()
+    biderivation_space(alg, SolveOptions(**opts))
+    for change in ({"max_batches": 0}, {"stable_batches": 1}, {"seed": 5}, {}):
+        reused = biderivation_space(alg, SolveOptions(**opts, **change))
+        fresh = biderivation_space(make_super_heisenberg(), SolveOptions(**opts, **change))
+        assert reused.blocks == fresh.blocks, change
+        assert reused.der_reports == fresh.der_reports, change
